@@ -10,11 +10,12 @@ Bit-identity is the design invariant: a served ``/analyze`` response carries
 exactly the measures an in-process ``Study(tree, skeleton_cache=store)``
 computes, because both paths evaluate through
 :func:`repro.core.study.evaluate_skeleton_query` on the same store entry.
+Hot entries stay resident, decoded and paired with a warm transient kernel,
+so a repeat request skips the disk read, inflate, checksum and unpickle.
 With ``processes > 0`` single-tree analyses fan out over a pool of worker
-processes, each holding its own store handle and a small pool of per-key
-transient kernels (CSR pattern + Poisson terms survive between requests); a
-worker failure of any kind falls back to the in-process path, never to an
-error response.
+processes, each holding its own store handle and resident entries; a worker
+failure of any kind falls back to the in-process path, never to an error
+response.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from ..dft import galileo
 from ..dft.elements import BasicEvent
 from ..dft.hashing import CanonicalProfile, canonical_profile, translate_sample
 from ..errors import AnalysisError, ReproError
-from .store import SkeletonStore
+from .store import SkeletonEntry, SkeletonStore, cache_key
 
 #: Service response envelope version (additive ``service`` key on results).
 SERVICE_SCHEMA = "repro.service/1"
@@ -108,6 +109,12 @@ class ServiceMetrics:
         self._latencies: Dict[str, Deque[float]] = {}
         self._window = int(window)
         self._started = _time.time()
+        self._cache = {"resident_hits": 0, "disk_hits": 0, "misses": 0}
+
+    def cache_outcome(self, outcome: str) -> None:
+        """Count one entry lookup: ``resident_hits``, ``disk_hits`` or ``misses``."""
+        with self._lock:
+            self._cache[outcome] += 1
 
     def record(self, endpoint: str, seconds: float, ok: bool = True) -> None:
         with self._lock:
@@ -133,75 +140,93 @@ class ServiceMetrics:
             return {
                 "uptime_seconds": _time.time() - self._started,
                 "endpoints": endpoints,
+                "cache": dict(self._cache),
             }
 
 
 # ---------------------------------------------------------------------------
-# worker-pool plumbing (per-process kernel pool)
+# resident entries (shared by the service and its pool workers)
 # ---------------------------------------------------------------------------
 
-class _WorkerKernels:
-    """Per-process serving state: a store handle + an LRU of warm kernels."""
+class _ResidentEntries:
+    """A thread-safe LRU of ``(SkeletonEntry, warm kernel)`` by cache key.
 
-    def __init__(self, root: str, max_bytes: Optional[int], capacity: int = 8):
-        self.store = SkeletonStore(root, max_bytes=max_bytes)
-        self.capacity = capacity
-        self._entries: "OrderedDict[str, tuple]" = OrderedDict()
+    Entries are content-addressed and immutable per key, so one decoded copy
+    serves every later request for its key.  The kernel (CTMC entries only)
+    keeps its CSR pattern and Poisson terms between requests; it is
+    stateful, so callers serialise evaluation on it.
+    """
 
-    def evaluate(
-        self,
-        key: str,
-        assignment: Dict[str, float],
-        query_payload: Optional[Dict[str, object]],
-        tolerance: float,
-        on_error: str,
-    ) -> Tuple[MeasureResult, ...]:
-        cached = self._entries.get(key)
-        if cached is None:
-            entry = self.store.load(key)
-            if entry is None:
-                # Evicted between the parent's get_or_build and our load
-                # (cap pressure): signal the parent to evaluate inline.
-                raise KeyError(key)
-            kernel = (
-                TransientKernel(entry.skeleton, buffer=entry.buffer)
-                if isinstance(entry.skeleton, CtmcSkeleton)
-                else None
-            )
-            self._entries[key] = cached = (entry, kernel)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-        else:
-            self._entries.move_to_end(key)
-        entry, kernel = cached
-        query = query_from_payload(query_payload, nondeterministic=entry.nondeterministic)
-        return evaluate_skeleton_query(
-            entry.skeleton,
-            query,
-            assignment,
-            tolerance=tolerance,
-            on_error=on_error,
-            kernel=kernel,
+    capacity = 8
+
+    def __init__(self):
+        self._items: "OrderedDict[str, tuple]" = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def get(self, key: str) -> Optional[tuple]:
+        with self._lock:
+            item = self._items.get(key)
+            if item is not None:
+                self._items.move_to_end(key)
+            return item
+
+    def put(self, entry: SkeletonEntry) -> tuple:
+        """Hold ``entry`` unless its key is resident already; returns the held item."""
+        kernel = (
+            TransientKernel(entry.skeleton, buffer=entry.buffer)
+            if isinstance(entry.skeleton, CtmcSkeleton)
+            else None
         )
+        with self._lock:
+            item = self._items.setdefault(entry.key, (entry, kernel))
+            self._items.move_to_end(entry.key)
+            while len(self._items) > self.capacity:
+                self._items.popitem(last=False)
+            return item
 
 
-_WORKER_KERNELS: Optional[_WorkerKernels] = None
+class _ResolvedEntry:
+    """A one-entry store view handing :class:`SweepStudy` an entry already resolved."""
+
+    def __init__(self, entry: SkeletonEntry, hit: bool):
+        self._resolved = (entry, hit)
+
+    def get_or_build(self, _tree, _options=None, profile=None):
+        return self._resolved
+
+
+def _evaluate_item(
+    item: tuple,
+    assignment: Dict[str, float],
+    query_payload: Optional[Mapping[str, object]],
+    tolerance: float,
+) -> Tuple[MeasureResult, ...]:
+    """Evaluate one query on a resident ``(entry, kernel)``; measure errors are recorded."""
+    entry, kernel = item
+    query = query_from_payload(query_payload, nondeterministic=entry.nondeterministic)
+    return evaluate_skeleton_query(
+        entry.skeleton,
+        query,
+        assignment,
+        tolerance=tolerance,
+        on_error="record",
+        kernel=kernel,
+    )
+
+
+# ---------------------------------------------------------------------------
+# worker-pool plumbing (per-process store handle + resident entries)
+# ---------------------------------------------------------------------------
+
+_WORKER: Optional[Tuple[SkeletonStore, _ResidentEntries]] = None
 
 
 def _init_service_worker(root: str, max_bytes: Optional[int]) -> None:
-    global _WORKER_KERNELS
-    _WORKER_KERNELS = _WorkerKernels(root, max_bytes)
-
-
-def _service_evaluate(
-    key: str,
-    assignment: Dict[str, float],
-    query_payload: Optional[Dict[str, object]],
-    tolerance: float,
-    on_error: str,
-) -> Tuple[MeasureResult, ...]:
-    assert _WORKER_KERNELS is not None
-    return _WORKER_KERNELS.evaluate(key, assignment, query_payload, tolerance, on_error)
+    global _WORKER
+    _WORKER = (SkeletonStore(root, max_bytes=max_bytes), _ResidentEntries())
 
 
 def _service_evaluate_row(
@@ -209,14 +234,20 @@ def _service_evaluate_row(
     assignment: Dict[str, float],
     query_payload: Optional[Dict[str, object]],
     tolerance: float,
-    on_error: str,
 ) -> Tuple[Tuple[MeasureResult, ...], float]:
-    """One sweep/batch row in a pool worker, with its worker-side wall time."""
-    assert _WORKER_KERNELS is not None
+    """One query (or sweep/batch row) in a pool worker, with its worker-side wall time."""
+    assert _WORKER is not None
     start = _time.perf_counter()
-    measures = _WORKER_KERNELS.evaluate(
-        key, assignment, query_payload, tolerance, on_error
-    )
+    store, resident = _WORKER
+    item = resident.get(key)
+    if item is None:
+        entry = store.load(key)
+        if entry is None:
+            # Not on disk (cap pressure, or the parent could not persist
+            # it): signal the parent to evaluate inline.
+            raise KeyError(key)
+        item = resident.put(entry)
+    measures = _evaluate_item(item, assignment, query_payload, tolerance)
     return measures, _time.perf_counter() - start
 
 
@@ -227,10 +258,11 @@ def _service_evaluate_row(
 class AnalysisService:
     """Serves analyses from a skeleton store; every handler is dict -> dict.
 
-    ``processes > 0`` attaches a pool of worker processes for ``/analyze``
-    requests (each worker keeps its own kernel pool warm); ``processes = 0``
-    evaluates inline with one warm kernel per cache key.  Sweeps and batches
-    always run in-process (the sweep engine parallelises internally).
+    Entry lookups go resident tier, then disk, then build; only a build
+    takes the build lock.  ``processes > 0`` attaches a pool of worker
+    processes that ``/analyze`` queries, ``/sweep`` rows and ``/batch`` trees
+    fan out across (each worker keeps its own resident entries);
+    ``processes = 0`` evaluates inline on the resident warm kernels.
     """
 
     def __init__(
@@ -247,8 +279,7 @@ class AnalysisService:
         self.metrics = ServiceMetrics()
         self._build_lock = threading.Lock()
         self._eval_lock = threading.Lock()
-        self._kernels: "OrderedDict[str, tuple]" = OrderedDict()
-        self._kernel_capacity = 8
+        self._resident = _ResidentEntries()
         self._pool: Optional[ProcessPoolExecutor] = None
         if self.processes > 0:
             self._pool = ProcessPoolExecutor(
@@ -308,59 +339,57 @@ class AnalysisService:
                                 "Galileo description string")
         return galileo.parse(text, name="<request>")
 
-    def _get_entry(self, tree, profile: Optional[CanonicalProfile] = None):
-        with self._build_lock:
-            return self.store.get_or_build(tree, self.options, profile=profile)
+    def _get_entry(
+        self, tree, profile: CanonicalProfile
+    ) -> Tuple[SkeletonEntry, bool]:
+        """The entry of ``tree``'s class and whether it was a cache hit.
+
+        Hits (resident, or on disk) never take the build lock, so they never
+        wait behind a build; a corrupt file is rebuilt on that path.  A miss
+        re-checks both tiers under the lock, so concurrent misses build once.
+        """
+        key = cache_key(tree, self.options, tree_hash=profile.hash)
+        item = self._resident.get(key)
+        if item is None and self.store.path_of(key).exists():
+            entry, hit = self.store.get_or_build(tree, self.options, profile=profile)
+        elif item is None:
+            with self._build_lock:
+                item = self._resident.get(key)
+                if item is None:
+                    entry, hit = self.store.get_or_build(
+                        tree, self.options, profile=profile
+                    )
+        if item is not None:
+            self.store.touch(key)  # keep the on-disk LRU truthful
+            self.metrics.cache_outcome("resident_hits")
+            return item[0], True
+        self.metrics.cache_outcome("disk_hits" if hit else "misses")
+        return self._resident.put(entry)[0], hit
 
     def _evaluate_inline(
-        self, entry, assignment, query_payload, on_error: str
+        self, entry, assignment, query_payload
     ) -> Tuple[MeasureResult, ...]:
+        item = self._resident.get(entry.key) or self._resident.put(entry)
         with self._eval_lock:
-            cached = self._kernels.get(entry.key)
-            if cached is None:
-                kernel = (
-                    TransientKernel(entry.skeleton, buffer=entry.buffer)
-                    if isinstance(entry.skeleton, CtmcSkeleton)
-                    else None
-                )
-                self._kernels[entry.key] = cached = (entry, kernel)
-                while len(self._kernels) > self._kernel_capacity:
-                    self._kernels.popitem(last=False)
-            else:
-                self._kernels.move_to_end(entry.key)
-            held_entry, kernel = cached
-            query = query_from_payload(
-                query_payload, nondeterministic=held_entry.nondeterministic
-            )
-            return evaluate_skeleton_query(
-                held_entry.skeleton,
-                query,
-                assignment,
-                tolerance=self.options.tolerance,
-                on_error=on_error,
-                kernel=kernel,
-            )
+            return _evaluate_item(item, assignment, query_payload, self.options.tolerance)
 
-    def _evaluate(
-        self, entry, assignment, query_payload, on_error: str = "record"
-    ) -> Tuple[MeasureResult, ...]:
+    def _evaluate(self, entry, assignment, query_payload) -> Tuple[MeasureResult, ...]:
         if self._pool is not None:
             try:
                 return self._pool.submit(
-                    _service_evaluate,
+                    _service_evaluate_row,
                     entry.key,
                     dict(assignment),
                     None if query_payload is None else dict(query_payload),
                     self.options.tolerance,
-                    on_error,
-                ).result()
+                ).result()[0]
             except ReproError:
                 raise
             except Exception:
                 # Broken pool, unpicklable surprise, worker-side cache
                 # eviction — the response must not depend on pool health.
                 pass
-        return self._evaluate_inline(entry, assignment, query_payload, on_error)
+        return self._evaluate_inline(entry, assignment, query_payload)
 
     @staticmethod
     def _query_payload(payload) -> Optional[Mapping[str, object]]:
@@ -368,15 +397,6 @@ class AnalysisService:
         if query_payload is not None and not isinstance(query_payload, Mapping):
             raise AnalysisError("the 'query' field must be an object")
         return query_payload
-
-    def _study_result(
-        self, tree, payload, entry, hit, assignment: Dict[str, float]
-    ) -> StudyResult:
-        query_payload = self._query_payload(payload)
-        start = _time.perf_counter()
-        measures = self._evaluate(entry, assignment, query_payload, on_error="record")
-        evaluation = _time.perf_counter() - start
-        return self._wrap_study_result(tree, entry, hit, measures, evaluation)
 
     def _wrap_study_result(
         self, tree, entry, hit, measures, evaluation: float
@@ -404,7 +424,11 @@ class AnalysisService:
         tree = self._parse_tree(payload)
         profile = canonical_profile(tree)
         entry, hit = self._get_entry(tree, profile)
-        result = self._study_result(tree, payload, entry, hit, profile.assignment)
+        query_payload = self._query_payload(payload)
+        start = _time.perf_counter()
+        measures = self._evaluate(entry, profile.assignment, query_payload)
+        evaluation = _time.perf_counter() - start
+        result = self._wrap_study_result(tree, entry, hit, measures, evaluation)
         response = result.to_dict(include_steps=False)
         response["service"] = {
             "schema": SERVICE_SCHEMA,
@@ -466,7 +490,9 @@ class AnalysisService:
         if self._pool is not None and not share:
             result = self._sweep_pooled(tree, profile, entry, hit, rate_sweep, payload)
         if result is None:
-            study = SweepStudy(tree, self.options, skeleton_cache=self.store)
+            study = SweepStudy(
+                tree, self.options, skeleton_cache=_ResolvedEntry(entry, hit)
+            )
             result = study.run(
                 rate_sweep,
                 processes=int(payload.get("processes", 1)),  # type: ignore[arg-type]
@@ -521,7 +547,6 @@ class AnalysisService:
                         assignment,
                         None if query_payload is None else dict(query_payload),
                         self.options.tolerance,
-                        "record",
                     )
                 )
             rows = []
@@ -608,7 +633,6 @@ class AnalysisService:
                         dict(profile.assignment),
                         None if query_payload is None else dict(query_payload),
                         self.options.tolerance,
-                        "record",
                     )
                 except Exception:
                     # Broken pool: leave the row to the inline path below.
@@ -631,7 +655,7 @@ class AnalysisService:
                 if future is None:
                     eval_start = _time.perf_counter()
                     measures = self._evaluate_inline(
-                        entry, profile.assignment, query_payload, "record"
+                        entry, profile.assignment, query_payload
                     )
                     evaluation = _time.perf_counter() - eval_start
                 result = self._wrap_study_result(tree, entry, hit, measures, evaluation)
@@ -679,6 +703,7 @@ class AnalysisService:
 
     def metrics_payload(self) -> Dict[str, object]:
         payload = self.metrics.snapshot()
+        payload["cache"]["resident_entries"] = len(self._resident)
         payload["schema"] = SERVICE_SCHEMA
         payload["store"] = self.store.stats()
         return payload

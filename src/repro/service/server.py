@@ -11,8 +11,9 @@ handler forwards every request to an :class:`~repro.service.app.AnalysisService`
 * ``GET /metrics``  — per-endpoint counts/latency percentiles + store stats.
 
 The threading server gives every connection its own handler thread; the
-service object is thread-safe (kernel reuse is serialised, the optional
-worker pool parallelises analyses across processes).  ``port=0`` binds an
+service object is thread-safe (evaluation on the resident kernels is
+serialised, the optional worker pool parallelises analyses across
+processes).  ``port=0`` binds an
 ephemeral port — read it back from :attr:`AnalysisServer.server_address`.
 """
 
@@ -37,6 +38,9 @@ MAX_BODY_BYTES = 64 * 1024 * 1024
 class _ServiceHandler(BaseHTTPRequestHandler):
     server_version = "repro-service/1"
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY on every accepted connection: with Nagle on, a keep-alive
+    # response body waits for the client's delayed ACK of the headers.
+    disable_nagle_algorithm = True
 
     def _respond(self, status: int, payload: dict) -> None:
         body = json.dumps(payload).encode("utf-8")

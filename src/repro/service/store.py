@@ -257,8 +257,17 @@ class SkeletonStore:
         if entry is None:
             self.misses += 1
             return None
+        self.touch(key)
+        self.hits += 1
+        return entry
+
+    def touch(self, key: str) -> None:
+        """Mark ``key`` recently used for the byte cap (also on in-memory hits)."""
+        path = self.path_of(key)
         try:
-            os.utime(path)  # LRU touch
+            os.utime(path)
+        except FileNotFoundError:
+            pass
         except OSError as error:
             # A read-only or shared (NFS) store cannot take the LRU touch;
             # the entry itself is perfectly good, so serve it anyway and say
@@ -273,8 +282,6 @@ class SkeletonStore:
                     path,
                     error,
                 )
-        self.hits += 1
-        return entry
 
     def _decode(
         self, raw: bytes, path: Path, key: str

@@ -8,7 +8,10 @@ same skeleton cache computes (timings are wall-clock and excluded).
 from __future__ import annotations
 
 import json
+import os
+import socket
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -17,9 +20,10 @@ from repro.core.measures import MTTF, Unreliability
 from repro.core.study import Study, StudyOptions
 from repro.core.sweep import RateSweep, SweepStudy
 from repro.dft import galileo
+from repro.service import store as store_module
 from repro.service.app import AnalysisService, query_from_payload
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.server import serve
+from repro.service.server import _ServiceHandler, serve
 from repro.service.store import SkeletonStore
 
 AND_TREE = """
@@ -35,6 +39,21 @@ toplevel "sys";
 "sys" or "a" "b";
 "a" lambda=lam;
 "b" lambda=0.7;
+"""
+
+OR_TREE = """
+toplevel "sys";
+"sys" or "a" "b";
+"a" lambda=0.5;
+"b" lambda=0.7;
+"""
+
+TRIPLE_TREE = """
+toplevel "sys";
+"sys" and "a" "b" "c";
+"a" lambda=0.5;
+"b" lambda=0.7;
+"c" lambda=0.9;
 """
 
 def _nondet_tree_text():
@@ -190,6 +209,19 @@ class TestDictHandlers:
         assert analyze["requests"] == 2
         assert analyze["errors"] == 1
         assert payload["store"]["entries"] == 1
+        assert payload["cache"] == {
+            "resident_hits": 0, "disk_hits": 0, "misses": 1, "resident_entries": 1,
+        }
+        service.handle("POST", "/analyze", {"tree": AND_TREE})
+        assert service.metrics_payload()["cache"]["resident_hits"] == 1
+        fresh = AnalysisService(SkeletonStore(service.store.root))
+        try:
+            fresh.handle("POST", "/analyze", {"tree": AND_TREE})
+            assert fresh.metrics_payload()["cache"] == {
+                "resident_hits": 0, "disk_hits": 1, "misses": 0, "resident_entries": 1,
+            }
+        finally:
+            fresh.close()
 
 
 @pytest.fixture
@@ -292,3 +324,161 @@ class TestWorkerPool:
         finally:
             inline.close()
             pooled.close()
+
+
+def _gated_build(monkeypatch, release: threading.Event, started: threading.Event):
+    """Make every ``build_entry`` call wait for ``release``; returns the call log."""
+    calls = []
+    real_build = store_module.build_entry
+
+    def gated(*args, **kwargs):
+        calls.append(args[0].name)
+        started.set()
+        assert release.wait(30), "the gated build was never released"
+        return real_build(*args, **kwargs)
+
+    monkeypatch.setattr(store_module, "build_entry", gated)
+    return calls
+
+
+class TestHotPath:
+    def test_accepted_connections_set_tcp_nodelay(self, http_server, monkeypatch):
+        seen = []
+        original_setup = _ServiceHandler.setup
+
+        def setup(handler):
+            original_setup(handler)
+            seen.append(
+                handler.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            )
+
+        monkeypatch.setattr(_ServiceHandler, "setup", setup)
+        assert ServiceClient(http_server.url).healthz()["status"] == "ok"
+        assert seen and all(seen)
+
+    @pytest.mark.parametrize("processes", [0, 1])
+    @pytest.mark.parametrize("kind", ["ctmc", "ctmdp"])
+    def test_resident_disk_and_in_process_bit_identical(self, tmp_path, kind, processes):
+        text = AND_TREE if kind == "ctmc" else _nondet_tree_text()
+        request = {"tree": text, "query": {"times": [0.5, 1.0]}}
+        root = tmp_path / "cache"
+        first = AnalysisService(SkeletonStore(root), processes=processes)
+        second = AnalysisService(SkeletonStore(root), processes=processes)
+        try:
+            _, built = first.handle("POST", "/analyze", request)
+            _, resident = first.handle("POST", "/analyze", request)
+            _, disk = second.handle("POST", "/analyze", request)
+            assert first.metrics_payload()["cache"]["resident_hits"] == 1
+            assert second.metrics_payload()["cache"]["disk_hits"] == 1
+        finally:
+            first.close()
+            second.close()
+        assert [r["service"]["cache"] for r in (built, resident, disk)] == [
+            "miss", "hit", "hit",
+        ]
+        query = query_from_payload(request["query"], nondeterministic=kind == "ctmdp")
+        local = _local_study_dict(text, SkeletonStore(root), query)
+        assert _strip(built) == _strip(resident) == _strip(disk) == local
+
+    def test_hits_return_while_a_miss_build_is_blocked(self, tmp_path, monkeypatch):
+        root = tmp_path / "cache"
+        SkeletonStore(root).get_or_build(galileo.parse(OR_TREE))  # on disk only
+        service = AnalysisService(SkeletonStore(root))
+        service.handle("POST", "/analyze", {"tree": AND_TREE})  # resident
+        release, started = threading.Event(), threading.Event()
+        _gated_build(monkeypatch, release, started)
+        try:
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                miss = pool.submit(service.handle, "POST", "/analyze", {"tree": TRIPLE_TREE})
+                try:
+                    assert started.wait(30)
+                    _, resident = service.handle("POST", "/analyze", {"tree": AND_TREE})
+                    _, disk = service.handle("POST", "/analyze", {"tree": OR_TREE})
+                    assert not miss.done()
+                finally:
+                    release.set()
+                status, built = miss.result(30)
+        finally:
+            service.close()
+        assert resident["service"]["cache"] == disk["service"]["cache"] == "hit"
+        assert status == 200 and built["service"]["cache"] == "miss"
+
+    def test_concurrent_misses_on_one_key_build_once(self, service, monkeypatch):
+        release, started = threading.Event(), threading.Event()
+        calls = _gated_build(monkeypatch, release, started)
+        request = {"tree": AND_TREE, "query": {"times": [1.0]}}
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            futures = [pool.submit(service.handle, "POST", "/analyze", request) for _ in range(2)]
+            assert started.wait(30)
+            time.sleep(0.2)  # let the second request queue on the build lock
+            release.set()
+            responses = [future.result(30)[1] for future in futures]
+        assert len(calls) == 1
+        assert sorted(r["service"]["cache"] for r in responses) == ["hit", "miss"]
+        assert _strip(responses[0]) == _strip(responses[1])
+
+    def test_corrupt_entry_not_resident_is_evicted_and_rebuilt(self, tmp_path):
+        root = tmp_path / "cache"
+        entry, _ = SkeletonStore(root).get_or_build(galileo.parse(AND_TREE))
+        path = SkeletonStore(root).path_of(entry.key)
+        path.write_bytes(path.read_bytes()[:-7])
+        service = AnalysisService(SkeletonStore(root))
+        try:
+            status, response = service.handle("POST", "/analyze", {"tree": AND_TREE})
+        finally:
+            service.close()
+        assert status == 200 and response["service"]["cache"] == "miss"
+        assert service.store.corrupt_evictions == 1
+        local = _local_study_dict(AND_TREE, SkeletonStore(root), Unreliability([1.0]))
+        assert _strip(response) == local
+
+    def test_sweep_reads_its_entry_once(self, tmp_path, monkeypatch):
+        root = tmp_path / "cache"
+        SkeletonStore(root).get_or_build(galileo.parse(PARAM_TREE))  # on disk only
+        service = AnalysisService(SkeletonStore(root))
+        loads = []
+        real_load = SkeletonStore.load
+
+        def counting_load(store, key):
+            loads.append(key)
+            return real_load(store, key)
+
+        monkeypatch.setattr(SkeletonStore, "load", counting_load)
+        request = {"tree": PARAM_TREE, "axes": {"lam": [0.1, 0.5]}}
+        try:
+            _, disk = service.handle("POST", "/sweep", request)
+            assert len(loads) == 1
+            _, resident = service.handle("POST", "/sweep", request)
+            assert len(loads) == 1
+        finally:
+            service.close()
+        assert disk["service"]["cache"] == resident["service"]["cache"] == "hit"
+        assert [row["measures"] for row in disk["rows"]] == [
+            row["measures"] for row in resident["rows"]
+        ]
+
+    def test_resident_hits_keep_their_file_under_a_byte_cap(self, tmp_path):
+        probe = SkeletonStore(tmp_path / "probe")
+        sizes = [
+            probe.path_of(probe.get_or_build(galileo.parse(text))[0].key).stat().st_size
+            for text in (AND_TREE, OR_TREE, TRIPLE_TREE)
+        ]
+        # Room for any two entries but not all three: the next store evicts one.
+        cap = sum(sizes) - min(sizes) // 2
+        service = AnalysisService(SkeletonStore(tmp_path / "cache", max_bytes=cap))
+        try:
+            hot = service.handle("POST", "/analyze", {"tree": AND_TREE})[1]["service"]["key"]
+            cold = service.handle("POST", "/analyze", {"tree": OR_TREE})[1]["service"]["key"]
+            hot_path, cold_path = service.store.path_of(hot), service.store.path_of(cold)
+            past = time.time() - 1000.0
+            os.utime(hot_path, (past, past))  # written first, so oldest on disk
+            os.utime(cold_path, (past + 100.0, past + 100.0))
+            for _ in range(3):
+                response = service.handle("POST", "/analyze", {"tree": AND_TREE})[1]
+                assert response["service"]["cache"] == "hit"
+            service.handle("POST", "/analyze", {"tree": TRIPLE_TREE})
+        finally:
+            service.close()
+        assert service.store.evictions == 1
+        assert hot_path.exists()
+        assert not cold_path.exists()
