@@ -80,6 +80,23 @@ def resolve_dense_limit(dense_limit: Optional[int] = None) -> int:
     return limit
 
 
+def _source_incidence(sources: np.ndarray, num_states: int) -> sparse.csr_matrix:
+    """The constant ``(states x edges)`` 0/1 matrix with a one at ``(source_e, e)``.
+
+    ``incidence @ x`` scatter-adds every edge's row of ``x`` into its source
+    state.  Columns sit in ascending edge order within each row and scipy's
+    CSR product accumulates a row's entries in column order, starting from
+    zero, with exact ``1.0 * x`` products, so the result is bit-identical to
+    ``np.add.at(out, sources, x)`` on a zeroed ``out``.
+    """
+    indptr = np.zeros(num_states + 1, dtype=np.int64)
+    np.cumsum(np.bincount(sources, minlength=num_states), out=indptr[1:])
+    return sparse.csr_matrix(
+        (np.ones(len(sources)), np.argsort(sources, kind="stable"), indptr),
+        shape=(num_states, len(sources)),
+    )
+
+
 class CsrBuffer:
     """Preallocated CSR pattern of a skeleton's uniformised matrix.
 
@@ -112,7 +129,7 @@ class CsrBuffer:
         "_dense_diag",
         "_transpose_perm",
         "_edge_values",
-        "_exit",
+        "_incidence",
     )
 
     def __init__(
@@ -159,6 +176,7 @@ class CsrBuffer:
             dtype=np.int64,
             count=len(edges),
         )
+        self._incidence = _source_incidence(self._sources, num_states)
         self._targets = np.fromiter(
             (target for _source, target, _rate in edges),
             dtype=np.int64,
@@ -184,7 +202,6 @@ class CsrBuffer:
         self._coeffs = coeffs
         self._nominals = nominals
         self._edge_values = np.empty(len(edges))
-        self._exit = np.empty(num_states)
 
         data = np.zeros(len(indices))
         self.matrix = sparse.csr_matrix(
@@ -255,13 +272,11 @@ class CsrBuffer:
         """Per-state exit rates of the evaluated edges, plus the natural Lambda.
 
         The single accumulation point behind :meth:`max_exit_rate` and
-        :meth:`refill`, so the two cannot drift: both scatter the same edge
-        values into the shared scratch and apply the same ``Lambda = 1.0``
-        fallback for a chain with no transitions at all.
+        :meth:`refill`, so the two cannot drift: both sum the same edge
+        values through the source-incidence matrix and apply the same
+        ``Lambda = 1.0`` fallback for a chain with no transitions at all.
         """
-        exit_rates = self._exit
-        exit_rates[:] = 0.0
-        np.add.at(exit_rates, self._sources, values)
+        exit_rates = self._incidence @ values
         rate = float(exit_rates.max()) if len(exit_rates) else 0.0
         return exit_rates, (rate if rate > 0.0 else 1.0)
 
@@ -296,19 +311,21 @@ class CsrBuffer:
         if rate_floor is not None and float(rate_floor) > rate:
             rate = float(rate_floor)
 
+        # bincount sums each slot's edges in ascending edge order, exactly
+        # like an ``np.add.at`` scatter, so duplicate (source, target) edges
+        # accumulate bit-identically.
         data = self.matrix.data
-        data[:] = 0.0
-        np.add.at(data, self._slots, values)
+        data[:] = np.bincount(self._slots, weights=values, minlength=len(data))
         data /= rate
         # Edges never target their own source (the skeleton eliminates
         # self-loops), so the diagonal slots received no scatter contribution.
         data[self._diag] = 1.0 - exit_rates / rate
 
         if self.dense is not None:
+            # Every dense entry is a copy of its CSR slot.
             flat = self.dense.reshape(-1)
             flat[:] = 0.0
-            np.add.at(flat, self._dense_slots, values)
-            flat /= rate
+            flat[self._dense_slots] = data[self._slots]
             flat[self._dense_diag] = data[self._diag]
         else:
             self.transposed.data[:] = data[self._transpose_perm]
@@ -469,7 +486,7 @@ class TransientKernel:
 
         buffer = self.buffer
         rate = buffer.uniformisation_rate
-        terms = [self.term_cache.get(rate * time, tolerance) for time in times_list]
+        terms = self.term_cache.get_many([rate * time for time in times_list], tolerance)
         depth = max(len(array) for array in terms)
 
         # Shared matvec series: per step only the goal and total masses are
@@ -775,7 +792,7 @@ class CtmdpKernel:
         if len(self.buffer._sources):
             buffer = self.buffer
             rate = buffer.uniformisation_rate
-            terms = [self.term_cache.get(rate * time, tolerance) for time in times_list]
+            terms = self.term_cache.get_many([rate * time for time in times_list], tolerance)
             depth = max(len(array) for array in terms)
             update = self.update_indices(label)
             current = self._work_a
@@ -825,7 +842,7 @@ class CtmdpKernel:
         buffer = self.buffer
         rate = buffer.uniformisation_rate
         cache = term_cache if term_cache is not None else self.term_cache
-        terms = [cache.get(rate * time, tolerance) for time in times_list]
+        terms = cache.get_many([rate * time for time in times_list], tolerance)
         depth = max(len(array) for array in terms)
         update = self.update_indices(label)
 
@@ -837,7 +854,7 @@ class CtmdpKernel:
         if gradients:
             derivative = np.zeros((self.skeleton.num_states, num_params))
             derivative_series = np.empty((depth, num_params))
-            scatter = np.empty_like(derivative)
+            incidence = buffer._incidence
             sources = buffer._sources
             targets = buffer._targets
             coeffs = buffer._coeffs
@@ -854,8 +871,7 @@ class CtmdpKernel:
                 # -sum(coeff)/Lambda on the diagonal, so its action on v is a
                 # scatter of coeff_e * (v[target] - v[source]) / Lambda.
                 contrib = coeffs * ((current[targets] - current[sources]) / rate)[:, None]
-                scatter[:] = 0.0
-                np.add.at(scatter, sources, contrib)
+                scatter = incidence @ contrib
                 if buffer.dense is not None:
                     propagated = buffer.dense @ derivative
                 else:

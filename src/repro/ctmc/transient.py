@@ -30,8 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import linalg as dense_linalg
-from scipy import stats
-from scipy.special import gammaln
+from scipy.special import gammaln, pdtr, pdtrik
 
 from ..errors import AnalysisError
 from .ctmc import CTMC
@@ -52,39 +51,75 @@ def validate_times(times: Sequence[float]) -> List[float]:
     return times_list
 
 
-def _poisson_truncation(rate: float, tolerance: float) -> int:
-    """Truncation depth ``K`` with Poisson right-tail mass below ``tolerance``."""
+def _check_tolerance(tolerance: float) -> None:
+    if not 0.0 < tolerance < 1.0:
+        raise AnalysisError(f"the truncation tolerance must be in (0, 1), got {tolerance}")
+
+
+def _check_products(products: np.ndarray) -> None:
+    if not (np.isfinite(products) & (products >= 0.0)).all():
+        raise AnalysisError("the uniformisation rate times time must be finite and non-negative")
+
+
+def _poisson_truncations(rates: np.ndarray, tolerance: float) -> np.ndarray:
+    """Truncation depths ``K`` (one per positive rate) with tail mass below ``tolerance``.
+
+    ``K - 2`` is the Poisson quantile of ``1 - tolerance``: the smallest ``k``
+    with ``CDF(k) >= 1 - tolerance``.  It is computed exactly as
+    ``scipy.stats.poisson.ppf`` does for a quantile in (0, 1) and a positive
+    rate (``ceil(pdtrik)``, stepped back by one where ``pdtr`` of the
+    predecessor already reaches the quantile), but as one ufunc call for the
+    whole batch instead of one argument-checked ``ppf`` call per rate.
+    """
     # Tolerances below the float64 epsilon would round 1 - tolerance up to
     # exactly 1.0, where the quantile function diverges; clamp to the largest
     # representable quantile below one (the tail mass is then already beyond
     # double precision).
     quantile = min(1.0 - tolerance, math.nextafter(1.0, 0.0))
-    truncation = int(stats.poisson.ppf(quantile, rate)) + 2
-    return max(truncation, 1)
+    upper = np.ceil(pdtrik(quantile, rates))
+    lower = np.maximum(upper - 1.0, 0.0)
+    quantiles = np.where(pdtr(lower, rates) >= quantile, lower, upper)
+    return np.maximum(quantiles.astype(np.int64) + 2, 1)
+
+
+def _term_arrays(products: Sequence[float], tolerance: float) -> List[np.ndarray]:
+    """Validated term arrays ``PMF(0..K; product)``, one per product.
+
+    The truncation depths of the whole batch come from one
+    :func:`_poisson_truncations` call; each array is then evaluated in log
+    space as ``exp(k log(rate) - rate - gammaln(k + 1))``.
+    """
+    rates = np.array(products, dtype=float)
+    _check_products(rates)
+    _check_tolerance(tolerance)
+    positive = rates > 0.0
+    depths = np.zeros(len(rates), dtype=np.int64)
+    depths[positive] = _poisson_truncations(rates[positive], tolerance)
+    arrays = []
+    for rate, depth in zip(rates.tolist(), depths.tolist()):
+        if rate == 0.0:
+            arrays.append(np.array([1.0]))
+            continue
+        indices = np.arange(depth + 1, dtype=float)
+        log_terms = indices * math.log(rate) - rate - gammaln(indices + 1.0)
+        arrays.append(np.exp(log_terms))
+    return arrays
 
 
 def poisson_terms(rate: float, tolerance: float) -> np.ndarray:
     """Poisson probabilities ``PMF(0..K; rate)`` with tail mass below ``tolerance``.
 
-    The truncation point ``K`` is chosen via the Poisson quantile function so
+    The truncation point ``K`` is chosen via the Poisson quantile function
+    (``scipy.special.pdtrik``/``pdtr``, see :func:`_poisson_truncations`) so
     that the neglected right tail is at most ``tolerance``; the probabilities
     themselves are evaluated in log space as
     ``exp(k log(rate) - rate - gammaln(k + 1))`` in one vectorised pass —
-    stable also for large ``rate``, and far cheaper than a per-term
-    :func:`scipy.stats.poisson.pmf` call over the whole index range.  (Left
-    truncation is not applied — skipped leading terms would still require the
-    corresponding matrix-vector products, so nothing would be saved.)
+    stable also for large ``rate``.  (Left truncation is not applied — skipped
+    leading terms would still require the corresponding matrix-vector
+    products, so nothing would be saved.)  :meth:`PoissonTermCache.get_many`
+    builds the arrays of a whole curve through the same code, bit-identically.
     """
-    if not math.isfinite(rate) or rate < 0.0:
-        raise AnalysisError("the uniformisation rate times time must be finite and non-negative")
-    if not 0.0 < tolerance < 1.0:
-        raise AnalysisError(f"the truncation tolerance must be in (0, 1), got {tolerance}")
-    if rate == 0.0:
-        return np.array([1.0])
-    truncation = _poisson_truncation(rate, tolerance)
-    indices = np.arange(truncation + 1, dtype=float)
-    log_terms = indices * math.log(rate) - rate - gammaln(indices + 1.0)
-    return np.exp(log_terms)
+    return _term_arrays([rate], tolerance)[0]
 
 
 def poisson_terms_reference(rate: float, tolerance: float) -> np.ndarray:
@@ -92,15 +127,16 @@ def poisson_terms_reference(rate: float, tolerance: float) -> np.ndarray:
 
     Kept as the differential baseline for :func:`poisson_terms`: both paths
     must agree to within a few ulps on every index of the shared truncation
-    range (the test-suite pins ``<= 1e-12``).
+    range (the test-suite pins ``<= 1e-12``).  This oracle is the package's
+    only user of ``scipy.stats``, so the import stays local to it and off
+    the import path of the library and the server.
     """
-    if not math.isfinite(rate) or rate < 0.0:
-        raise AnalysisError("the uniformisation rate times time must be finite and non-negative")
-    if not 0.0 < tolerance < 1.0:
-        raise AnalysisError(f"the truncation tolerance must be in (0, 1), got {tolerance}")
+    from scipy import stats
+
+    # Same validation and truncation depth as the production path.
+    truncation = len(poisson_terms(rate, tolerance)) - 1
     if rate == 0.0:
         return np.array([1.0])
-    truncation = _poisson_truncation(rate, tolerance)
     terms = stats.poisson.pmf(np.arange(truncation + 1), rate)
     return np.asarray(terms, dtype=float)
 
@@ -109,9 +145,11 @@ class PoissonTermCache:
     """Memoises :func:`poisson_terms` arrays within one evaluation sweep.
 
     A curve evaluation (or a min/max CTMDP bound pair, which shares the
-    uniformisation rate) asks for the same ``rate * time`` products repeatedly;
-    the quantile + PMF evaluations are the only scipy work in the hot path and
-    are worth sharing.
+    uniformisation rate) asks for the same ``rate * time`` products repeatedly.
+    :meth:`get_many` serves a whole curve in one call: the truncation depths
+    of every product not yet cached come from one batched quantile
+    evaluation, and only the per-product ``gammaln``/``exp`` term arrays
+    remain per key.
     """
 
     __slots__ = ("_cache",)
@@ -120,12 +158,25 @@ class PoissonTermCache:
         self._cache: Dict[Tuple[float, float], np.ndarray] = {}
 
     def get(self, rate: float, tolerance: float) -> np.ndarray:
-        key = (rate, tolerance)
-        terms = self._cache.get(key)
-        if terms is None:
-            terms = poisson_terms(rate, tolerance)
-            self._cache[key] = terms
-        return terms
+        return self.get_many([rate], tolerance)[0]
+
+    def get_many(self, products: Sequence[float], tolerance: float) -> List[np.ndarray]:
+        """The term arrays of every ``rate * time`` product, in order.
+
+        Bit-identical to per-product :func:`poisson_terms` calls and raising
+        the same :class:`~repro.errors.AnalysisError` on a negative or
+        non-finite product or an out-of-range tolerance.
+        """
+        cache = self._cache
+        missing = [
+            product for product in dict.fromkeys(products) if (product, tolerance) not in cache
+        ]
+        if missing:
+            cache.update(
+                ((product, tolerance), terms)
+                for product, terms in zip(missing, _term_arrays(missing, tolerance))
+            )
+        return [cache[(product, tolerance)] for product in products]
 
     def clear(self) -> None:
         """Drop all memoised term arrays (start of a new evaluation sweep)."""
@@ -153,7 +204,7 @@ class SweepWeights:
         term_cache: Optional[PoissonTermCache] = None,
     ) -> None:
         cache = term_cache if term_cache is not None else PoissonTermCache()
-        arrays = [cache.get(uniformization_rate * time, tolerance) for time in times]
+        arrays = cache.get_many([uniformization_rate * time for time in times], tolerance)
         lengths = np.array([len(array) for array in arrays], dtype=int)
         self.depth = int(lengths.max())
         order = np.argsort(-lengths, kind="stable")

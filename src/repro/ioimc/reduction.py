@@ -215,8 +215,17 @@ def aggregate(
     if options.method != "none":
         # The individual reductions can enable each other (e.g. quotienting may
         # create a deterministic internal chain that can then be compressed),
-        # so the sequence is iterated until a fixpoint is reached.  Two or
-        # three rounds suffice in practice; the bound is purely defensive.
+        # so the sequence is iterated until a fixpoint is reached; the bound
+        # of ten rounds is purely defensive.  The final round is a genuine
+        # confirmation, not a formality: ``minimize_weak`` is *not*
+        # idempotent on its own weak quotients.  On the benchmark ladder
+        # (CAS, CPS, cascaded PANDs, the race bank, a 16-event random tree)
+        # 10 of 180 weak minimisations whose input equalled the previous
+        # round's output shrank it again, e.g. a cascaded-PAND(4, 6) step
+        # from 105 to 31 states, and the signature and closure engines agree
+        # on those partitions.  Do not skip the confirming minimisation on
+        # the assumption that a quotient is already minimal; the test-suite
+        # pins that the loop's result *is* a fixpoint of one more round.
         for _round in range(10):
             size_before = (reduced.num_states, reduced.num_transitions)
             reduced = apply_maximal_progress(reduced, urgent_outputs=options.urgent_outputs)

@@ -217,3 +217,39 @@ class TestCtmdpKernel:
         kernel.load({"T": 1.0, "A": 1.0, "B": 1.0})
         again = kernel.time_bounded_reachability_curve(signals.FAILED_LABEL, TIMES)
         assert np.array_equal(again, slow)
+
+
+class TestGradientScatterOracle:
+    """The incidence-matrix gradient scatter, pinned byte for byte to the
+    ``np.add.at`` scatter it replaced (test-local reference)."""
+
+    @staticmethod
+    def _kernels():
+        from tests.scatter_reference import random_ctmdp_skeleton
+
+        race = envelope_of(with_rate_parameters(pand_race_bank(5), ["T0", "A2", "B4"]))
+        for skeleton, dense_limit in (
+            (race, None),
+            (random_ctmdp_skeleton(3), None),
+            (random_ctmdp_skeleton(3), 0),
+            (random_ctmdp_skeleton(5, num_states=120), None),
+        ):
+            yield CtmdpKernel(skeleton, dense_limit=dense_limit)
+
+    @pytest.mark.parametrize("maximize", [True, False])
+    def test_curve_and_gradients_bit_identical_to_add_at(self, maximize, monkeypatch):
+        from tests.scatter_reference import AddAtScatter
+
+        for kernel in self._kernels():
+            assert kernel.parameters
+            kernel.load()
+            curve, gradients = kernel.gradient_curve("failed", TIMES, maximize=maximize)
+            with monkeypatch.context() as patch:
+                patch.setattr(kernel.buffer, "_incidence", AddAtScatter(kernel.buffer))
+                kernel.load()
+                ref_curve, ref_gradients = kernel.gradient_curve(
+                    "failed", TIMES, maximize=maximize
+                )
+            assert np.any(gradients != 0.0)
+            assert curve.tobytes() == ref_curve.tobytes()
+            assert gradients.tobytes() == ref_gradients.tobytes()

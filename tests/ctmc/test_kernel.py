@@ -254,3 +254,45 @@ class TestStructureReuseRegression:
             "a purely transient sweep built a full CTMC per sample instead of "
             "reusing the kernel's shared structure"
         )
+
+
+class TestScatterOracle:
+    """Refill scatters pinned byte for byte to the ``np.add.at`` reference."""
+
+    @staticmethod
+    def _skeletons():
+        from repro.ctmc.builders import ctmdp_skeleton_from_ioimc
+        from repro.core import Study
+        from repro.systems import pand_race_bank
+        from tests.scatter_reference import random_ctmdp_skeleton
+
+        race = ctmdp_skeleton_from_ioimc(
+            Study(with_rate_parameters(pand_race_bank(5), ["T0", "A2", "B4"])).final_ioimc
+        )
+        return [race, random_ctmdp_skeleton(7), random_ctmdp_skeleton(11, num_states=300)]
+
+    @pytest.mark.parametrize("dense_limit", [kernel_module.DENSE_STATE_LIMIT, 0])
+    def test_exit_rates_data_and_dense_match_add_at(self, dense_limit):
+        from tests.scatter_reference import reference_refill
+
+        race, *randoms = self._skeletons()
+        for skeleton in randoms:  # repeated (source, target) edges share a slot
+            assert len({(s, t) for s, t, _ in skeleton.edges}) < len(skeleton.edges)
+        for skeleton in [race, *randoms]:
+            buffer = CsrBuffer(skeleton, dense_limit=dense_limit)
+            for scale in (None, 0.5, 1.7):
+                assignment = (
+                    None
+                    if scale is None
+                    else {name: scale * (index + 1) for index, name in enumerate(skeleton.parameters)}
+                )
+                for floor in (None, 1e3):
+                    _matrix, rate = buffer.refill(assignment, rate_floor=floor)
+                    exit_rates, data, dense = reference_refill(buffer, rate)
+                    assert buffer._accumulate_exit(buffer._edge_values)[0].tobytes() == exit_rates.tobytes()
+                    assert buffer.matrix.data.tobytes() == data.tobytes()
+                    if dense is None:
+                        assert buffer.dense is None
+                    else:
+                        assert buffer.dense.tobytes() == dense.tobytes()
+                    assert buffer.max_exit_rate(assignment) == float(exit_rates.max())

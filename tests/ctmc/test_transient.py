@@ -224,3 +224,78 @@ class TestPoissonTermCache:
         cache = PoissonTermCache()
         transient_distributions(chain, [1.0, 1.0, 2.0], term_cache=cache)
         assert len(cache._cache) == 2
+
+
+class TestVectorisedTruncation:
+    """The batched ``pdtrik``/``pdtr`` truncation against ``scipy.stats``."""
+
+    TOLERANCES = [1e-6, 1e-10, 1e-12, 0.3, 1e-300]
+
+    @pytest.mark.parametrize("tolerance", TOLERANCES)
+    def test_matches_scipy_stats_quantile_on_a_seeded_grid(self, tolerance):
+        from scipy import stats
+
+        from repro.ctmc.transient import _poisson_truncations
+
+        rng = np.random.default_rng(20240614)
+        rates = np.concatenate(
+            [10.0 ** rng.uniform(-9.0, 5.0, size=10_000), [1e-9, 1.0, 1e5]]
+        )
+        # 1e-300 rounds 1 - tolerance to 1.0; both sides clamp to the
+        # largest quantile below one.
+        quantile = min(1.0 - tolerance, math.nextafter(1.0, 0.0))
+        expected = [max(int(value) + 2, 1) for value in stats.poisson.ppf(quantile, rates)]
+        assert _poisson_truncations(rates, tolerance).tolist() == expected
+
+    @pytest.mark.parametrize("tolerance", TOLERANCES)
+    def test_public_terms_use_the_scipy_stats_depth(self, tolerance):
+        from scipy import stats
+
+        quantile = min(1.0 - tolerance, math.nextafter(1.0, 0.0))
+        for rate in (1e-9, 3e-4, 0.5, 7.3, 120.0, 4000.0):
+            depth = max(int(stats.poisson.ppf(quantile, rate)) + 2, 1)
+            assert len(poisson_terms(rate, tolerance)) == depth + 1
+
+
+class TestGetMany:
+    PRODUCTS = [2.5, 0.0, 7.25, 2.5, 1e-7, 0.0, 350.0, 7.25]
+
+    @pytest.mark.parametrize("tolerance", [1e-6, 1e-12, 1e-300])
+    def test_bit_equal_to_per_key_terms(self, tolerance):
+        batched = PoissonTermCache().get_many(self.PRODUCTS, tolerance)
+        single = PoissonTermCache()
+        assert len(batched) == len(self.PRODUCTS)
+        for product, terms in zip(self.PRODUCTS, batched):
+            for reference in (single.get(product, tolerance), poisson_terms(product, tolerance)):
+                assert terms.dtype == reference.dtype
+                assert terms.tobytes() == reference.tobytes()
+
+    def test_duplicates_share_one_array_and_later_calls_hit(self):
+        cache = PoissonTermCache()
+        first = cache.get_many(self.PRODUCTS, 1e-10)
+        assert first[0] is first[3] and first[1] is first[5]
+        assert len(cache._cache) == len(set(self.PRODUCTS))
+        again = cache.get_many([7.25, 0.0], 1e-10)
+        assert again[0] is first[2] and again[1] is first[1]
+
+    @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
+    def test_bad_products_raise_like_poisson_terms(self, bad):
+        with pytest.raises(AnalysisError) as single:
+            poisson_terms(bad, 1e-12)
+        with pytest.raises(AnalysisError) as batched:
+            PoissonTermCache().get_many([1.0, bad, 2.0], 1e-12)
+        assert str(batched.value) == str(single.value)
+
+    @pytest.mark.parametrize("tolerance", [0.0, 1.0, -1e-3, float("nan")])
+    def test_bad_tolerance_raises_like_poisson_terms(self, tolerance):
+        with pytest.raises(AnalysisError) as single:
+            poisson_terms(1.0, tolerance)
+        with pytest.raises(AnalysisError) as batched:
+            PoissonTermCache().get_many([1.0, 0.0], tolerance)
+        assert str(batched.value) == str(single.value)
+
+    def test_failed_batch_caches_nothing(self):
+        cache = PoissonTermCache()
+        with pytest.raises(AnalysisError):
+            cache.get_many([1.0, -2.0], 1e-12)
+        assert not cache._cache

@@ -107,3 +107,55 @@ class TestAggregate:
         reduced, stats = aggregate(stats_model)
         assert reduced.num_states == 1
         assert stats.state_reduction == 0.0
+
+
+def _structure(model: IOIMC):
+    """Everything but the name: initial state, labels and both transition kinds."""
+    states = model.states()
+    return (
+        model.initial,
+        model.signature,
+        tuple(tuple(sorted(model.labels(state))) for state in states),
+        tuple(tuple(sorted(model.interactive_out(state))) for state in states),
+        tuple(tuple(sorted(model.markovian_out(state))) for state in states),
+    )
+
+
+def _intermediate_models(tree, monkeypatch):
+    """Every model the compositional pipeline hands to ``aggregate`` for ``tree``."""
+    import repro.core.aggregation as aggregation_engine
+    import repro.core.conversion as conversion
+    from repro.core import Study
+
+    seen = []
+
+    def recording(model, options=None):
+        seen.append((model.copy(), options))
+        return aggregate(model, options)
+
+    monkeypatch.setattr(aggregation_engine, "aggregate", recording)
+    monkeypatch.setattr(conversion, "aggregate", recording)
+    Study(tree).final_ioimc
+    return seen
+
+
+class TestAggregateFixpoint:
+    """``aggregate`` iterates to a fixpoint although ``minimize_weak`` is not
+    idempotent on its own quotients (see the comment in ``aggregate``): one
+    more aggregation round must leave its result structurally unchanged."""
+
+    @pytest.mark.parametrize("system", ["cas", "cpand4x6", "race5"])
+    def test_one_more_round_is_a_no_op(self, system, monkeypatch):
+        from repro.systems import cardiac_assist_system, cascaded_pand_family, pand_race_bank
+
+        tree = {
+            "cas": cardiac_assist_system,
+            "cpand4x6": lambda: cascaded_pand_family(4, 6),
+            "race5": lambda: pand_race_bank(5),
+        }[system]()
+        models = _intermediate_models(tree, monkeypatch)
+        assert len(models) > 10
+        for model, options in models:
+            reduced, _ = aggregate(model, options)
+            again, _ = aggregate(reduced, options)
+            assert _structure(again) == _structure(reduced)

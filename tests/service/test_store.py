@@ -286,6 +286,53 @@ class TestFormatVersions:
         assert legacy.options["skeleton_cache"] == "hit"
         assert legacy.measures[0].values == fresh.measures[0].values
 
+    def test_pre_incidence_buffer_pickle_is_evicted_and_rebuilt(self, store, caplog):
+        """Files written before ``CsrBuffer`` gained its source-incidence
+        matrix pickle the buffer with an ``_exit`` scratch slot and without
+        ``_incidence``: such an entry must be evicted and rebuilt, never
+        served with a buffer that cannot refill."""
+        import copy
+        import hashlib
+        import zlib
+
+        import numpy as np
+
+        from repro.ctmc.kernel import CsrBuffer
+
+        class PreIncidenceLayout:
+            def __init__(self, buffer):
+                self.buffer = buffer
+
+            def __reduce__(self):
+                slots = {
+                    name: getattr(self.buffer, name)
+                    for name in CsrBuffer.__slots__
+                    if name != "_incidence"
+                }
+                slots["_exit"] = np.zeros(self.buffer.skeleton.num_states)
+                return object.__new__, (CsrBuffer,), (None, slots)
+
+        tree = _tree()
+        entry, _ = store.get_or_build(tree, StudyOptions())
+        old = copy.copy(entry)
+        old.buffer = PreIncidenceLayout(entry.buffer)
+        payload = pickle.dumps(old, protocol=pickle.HIGHEST_PROTOCOL)
+        store.path_of(entry.key).write_bytes(
+            MAGIC
+            + FORMAT_VERSION.to_bytes(4, "big")
+            + hashlib.sha256(payload).digest()
+            + zlib.compress(payload)
+        )
+        with caplog.at_level(logging.WARNING, logger="repro.service.store"):
+            assert store.load(entry.key) is None
+        assert any("unpicklable" in r.message for r in caplog.records)
+        assert store.stats()["corrupt_evictions"] == 1
+        rebuilt = Study(tree, StudyOptions(), skeleton_cache=store).evaluate(
+            Unreliability([1.0])
+        )
+        assert rebuilt.options["skeleton_cache"] == "miss"
+        assert store.load(entry.key).buffer._incidence.shape[1] == len(entry.skeleton.edges)
+
     def test_v2_payload_is_compressed(self, store):
         entry, _ = store.get_or_build(_tree(), StudyOptions())
         stats = store.stats()
