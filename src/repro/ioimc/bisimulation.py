@@ -85,6 +85,7 @@ from .partition import (
     canonical_rate,
     refine,
 )
+from .rates import ParametricRate
 
 Partition = List[FrozenSet[int]]
 
@@ -444,6 +445,9 @@ def _strong_partition_splitter(
                 for block in created:
                     register_split(marked, block, push)
 
+    #: Rate sum -> canonical rate: each distinct sum is canonicalised once.
+    canonical: Dict[object, object] = {}
+
     def process_rates(splitter: int, push) -> None:
         # Aggregate each predecessor's rate into the splitter and split the
         # touched blocks by the canonical rate value.  Rates from states
@@ -463,7 +467,11 @@ def _strong_partition_splitter(
         part.mark_all(list(weights), assume_unique=True)
 
         def rate_key(source: int) -> float:
-            return canonical_rate(weights[source], rate_digits)
+            weight = weights[source]
+            key = canonical.get(weight)
+            if key is None:
+                key = canonical[weight] = canonical_rate(weight, rate_digits)
+            return key
 
         for marked, rest in part.split_marked():
             # The marked part holds exactly the positive-weight states of one
@@ -823,51 +831,129 @@ class _WeakEngineBase:
             self.part.split_by_key(0, lambda unit: self.unit_labels[unit])
 
         # ---- rate classes over stable units ------------------------------
+        # The stable units' Markovian out-edges as one CSR keyed by unit
+        # (target unit and rate per edge, in adjacency order; unstable units
+        # have empty rows).  Parametric rates stay Python objects.
+        rate_off = [0]
+        rate_dst: List[int] = []
+        rate_val: list = []
+        unit_of_state = self.unit_of_state
+        for unit, states in enumerate(self.unit_states):
+            if self.unit_stable[unit]:
+                rates = mtrans[states[0]]  # stable units are singletons
+                rate_dst.extend(unit_of_state[target] for target in rates)
+                rate_val.extend(rates.values())
+            rate_off.append(len(rate_dst))
+        self._rate_off = np.asarray(rate_off, dtype=np.int64)
+        self._rate_dst = np.asarray(rate_dst, dtype=np.int64)
+        self._parametric = any(isinstance(rate, ParametricRate) for rate in rate_val)
+        self._rate_val = rate_val if self._parametric else np.asarray(rate_val, dtype=np.float64)
+        #: Rate sum -> id of its canonical rate, and canonical rate -> id:
+        #: :func:`canonical_rate` runs once per distinct sum of this engine.
+        self._rate_ids: Dict[object, int] = {}
+        self._canonical_ids: Dict[object, int] = {}
         self.class_of: Dict[int, int] = {}
         self.class_members: List[Set[int]] = []
-        self.class_by_key: Dict[FrozenSet[Tuple[int, float]], int] = {}
+        self.class_by_key: Dict[bytes, int] = {}
         #: Stable units whose rate vector may be stale (re-bucketed in batch
         #: when the next rate-class splitter is processed).
         self._dirty: Set[int] = set()
-        for unit, stable in enumerate(self.unit_stable):
-            if stable:
-                self._assign_rate_class(unit)
+        self._rebucket(
+            [unit for unit, stable in enumerate(self.unit_stable) if stable],
+            lambda splitter: None,
+        )
 
         self._refined = False
 
     # ------------------------------------------------------------ rate classes
-    def _vector_key(self, unit: int) -> FrozenSet[Tuple[int, float]]:
-        """Canonical rate vector of a stable unit under the current partition."""
-        state = self.unit_states[unit][0]  # stable units are singletons
-        own_block = self.part.block_of(unit)
-        rates: Dict[int, float] = {}
-        for target, rate in self.model.markovian_dict(state).items():
-            block = self.part.block_of(self.unit_of_state[target])
-            if block == own_block:
-                continue  # ordinary lumpability: ignore intra-class rates
-            rates[block] = rates.get(block, 0.0) + rate
-        return frozenset(
-            (block, canonical_rate(total, self.rate_digits))
-            for block, total in rates.items()
-        )
+    def _rebucket(self, units: List[int], push) -> None:
+        """(Re)assign each stable unit in ``units`` the class of its rate vector.
 
-    def _assign_rate_class(self, unit: int) -> Optional[Tuple[int, ...]]:
-        """(Re)bucket a stable unit by rate vector; return the changed classes."""
-        key = self._vector_key(unit)
-        new_class = self.class_by_key.get(key)
-        if new_class is None:
-            new_class = len(self.class_members)
-            self.class_members.append(set())
-            self.class_by_key[key] = new_class
-        old_class = self.class_of.get(unit)
-        if old_class == new_class:
-            return None
-        self.class_of[unit] = new_class
-        self.class_members[new_class].add(unit)
-        if old_class is None:
-            return (new_class,)
-        self.class_members[old_class].discard(unit)
-        return (old_class, new_class)
+        A unit's rate vector maps every *other* block to the canonical sum of
+        the unit's rates into it (ordinary lumpability ignores intra-block
+        rates); units with equal vectors share a class.  All units go at
+        once: gather their CSR out-edges, look up the target blocks, drop
+        own-block edges, group by (unit, block) and sum each group in edge
+        order.  ``np.bincount`` accumulates sequentially, exactly like a
+        per-unit dict accumulation (``np.add.reduceat`` does not);
+        parametric rates are folded in Python in the same order.  Each
+        distinct sum is canonicalised once and interned to a small id, and a
+        unit's key is the bytes of its ``(block, rate id)`` pairs sorted by
+        block.  Every class a unit leaves or joins is pushed as a splitter.
+        """
+        if not units:
+            return
+        part = self.part
+        block_of = part._block_of
+        unit_arr = np.asarray(units, dtype=np.int64)
+        offsets = self._rate_off
+        edges = _csr_flat(offsets, unit_arr)
+        owner = np.repeat(
+            np.arange(unit_arr.size, dtype=np.int64),
+            offsets[unit_arr + 1] - offsets[unit_arr],
+        )
+        blocks = block_of[self._rate_dst[edges]]
+        outside = blocks != block_of[unit_arr][owner]
+        edges = edges[outside]
+        num_blocks = part.num_blocks
+        group_key = owner[outside] * num_blocks + blocks[outside]
+        order = np.argsort(group_key, kind="stable")
+        sorted_key = group_key[order]
+        first = np.ones(sorted_key.size, dtype=bool)
+        np.not_equal(sorted_key[1:], sorted_key[:-1], out=first[1:])
+        group_of = np.empty(sorted_key.size, dtype=np.int64)
+        group_of[order] = np.cumsum(first) - 1
+        keys = sorted_key[first]
+        if self._parametric:
+            sums: list = [0.0] * keys.size
+            values = self._rate_val
+            for group, edge in zip(group_of.tolist(), edges.tolist()):
+                sums[group] = sums[group] + values[edge]
+        else:
+            sums = np.bincount(
+                group_of, weights=self._rate_val[edges], minlength=keys.size
+            ).tolist()
+        rate_ids = self._rate_ids
+        canonical_ids = self._canonical_ids
+        digits = self.rate_digits
+        ids = []
+        for total in sums:
+            rate_id = rate_ids.get(total)
+            if rate_id is None:
+                rate_id = canonical_ids.setdefault(
+                    canonical_rate(total, digits), len(canonical_ids)
+                )
+                rate_ids[total] = rate_id
+            ids.append(rate_id)
+        owners = keys // num_blocks
+        pairs = np.empty((keys.size, 2), dtype=np.int64)
+        pairs[:, 0] = keys - owners * num_blocks
+        pairs[:, 1] = ids
+        raw = pairs.tobytes()
+        bounds = (
+            np.concatenate(([0], np.cumsum(np.bincount(owners, minlength=unit_arr.size))))
+            * pairs.itemsize
+            * 2
+        ).tolist()
+        class_by_key = self.class_by_key
+        class_of = self.class_of
+        class_members = self.class_members
+        for position, unit in enumerate(units):
+            key = raw[bounds[position] : bounds[position + 1]]
+            new_class = class_by_key.get(key)
+            if new_class is None:
+                new_class = len(class_members)
+                class_members.append(set())
+                class_by_key[key] = new_class
+            old_class = class_of.get(unit)
+            if old_class == new_class:
+                continue
+            class_of[unit] = new_class
+            class_members[new_class].add(unit)
+            if old_class is not None:
+                class_members[old_class].discard(unit)
+                push(("rates", old_class))
+            push(("rates", new_class))
 
     # ---------------------------------------------------------------- refining
     def _track_dirty(self, moved: List[int], push) -> None:
@@ -991,12 +1077,10 @@ class _WeakEngineBase:
 
     def _flush_dirty(self, push) -> None:
         """Re-bucket every stale stable unit; re-enqueue the changed classes."""
-        for unit in self._dirty:
-            changed = self._assign_rate_class(unit)
-            if changed:
-                for rate_class in changed:
-                    push(("rates", rate_class))
-        self._dirty.clear()
+        if self._dirty:
+            units = list(self._dirty)
+            self._dirty.clear()
+            self._rebucket(units, push)
 
     def _run(self) -> None:
         raise NotImplementedError  # pragma: no cover - subclasses implement
@@ -1509,17 +1593,17 @@ class _WeakClosureEngine(_WeakEngineBase):
         num_actions = len(self.sat_actions)
         unit_scc = self._unit_scc_arr
         bck_off, bck_val = self._bck_off, self._bck_val
-        class_seeds: List[np.ndarray] = []
+        # Members of the non-empty classes back to back (a class emptied by
+        # re-bucketing predicates nothing); duplicate SCCs are harmless, the
+        # frontier is deduplicated as a whole below.
+        seed_units: List[int] = []
+        seed_counts: List[int] = []
         for index in classes:
             members = self.class_members[index]
-            if not members:
-                continue  # class emptied by re-bucketing
-            class_seeds.append(
-                _sorted_unique(
-                    unit_scc[np.fromiter(members, dtype=np.int64, count=len(members))]
-                )
-            )
-        k_cls = len(class_seeds)
+            if members:
+                seed_units.extend(members)
+                seed_counts.append(len(members))
+        k_cls = len(seed_counts)
         k_blk = len(blocks)
         preds_total = k_cls + k_blk + k_blk * num_actions
         if not preds_total:
@@ -1533,10 +1617,9 @@ class _WeakClosureEngine(_WeakEngineBase):
             return
         streams: List[np.ndarray] = []
         if k_cls:
-            seeds = np.concatenate(class_seeds)
+            seeds = unit_scc[np.asarray(seed_units, dtype=np.int64)]
             owner = np.repeat(
-                np.arange(k_cls, dtype=np.int64),
-                np.fromiter((s.size for s in class_seeds), dtype=np.int64, count=k_cls),
+                np.arange(k_cls, dtype=np.int64), np.asarray(seed_counts, dtype=np.int64)
             )
             cnt = bck_off[seeds + 1] - bck_off[seeds]
             streams.append(
@@ -1587,15 +1670,16 @@ class _WeakClosureEngine(_WeakEngineBase):
             next_id = uniq.size
         multi_idx = np.flatnonzero(~single)
         if multi_idx.size:
-            highs = bounds[1:]
-            sig_of: Dict[bytes, int] = {}
-            for position in multi_idx.tolist():
-                key = preds[lows[position] : highs[position]].tobytes()
+            pred_list = preds.tolist()
+            sig_of: Dict[Tuple[int, ...], int] = {}
+            multi_ids: List[int] = []
+            for low, high in zip(lows[multi_idx].tolist(), bounds[1:][multi_idx].tolist()):
+                key = tuple(pred_list[low:high])
                 code = sig_of.get(key)
                 if code is None:
-                    code = next_id + len(sig_of)
-                    sig_of[key] = code
-                sig_ids[position] = code
+                    code = sig_of[key] = next_id + len(sig_of)
+                multi_ids.append(code)
+            sig_ids[multi_idx] = multi_ids
         unit_off = self._unit_off
         units = _csr_flat(unit_off, touched)
         if not units.size:
@@ -1937,7 +2021,8 @@ def _build_weak_quotient(
         ([0], np.cumsum(np.bincount(towner, minlength=num_blocks)))
     ).tolist()
 
-    for block_id in range(num_blocks):
+    block_list = block_arr.tolist()
+    for block_id, stable_member in enumerate(stable_rep.tolist()):
         pairs = (
             vis_pairs[voff[block_id] : voff[block_id + 1]]
             + tau_pairs[toff[block_id] : toff[block_id + 1]]
@@ -1945,18 +2030,16 @@ def _build_weak_quotient(
         if pairs:
             quotient._add_interactive_bulk(block_id, pairs)
 
-        stable_member = int(stable_rep[block_id])
         if stable_member >= 0:
             rates: Dict[int, float] = {}
             for target, rate in mtrans[stable_member].items():
-                target_block = int(block_arr[target])
+                target_block = block_list[target]
                 if target_block == block_id:
                     continue  # intra-class movement is invisible in the quotient
                 rates[target_block] = rates.get(target_block, 0.0) + rate
-            for target_block, total in rates.items():
-                quotient.add_markovian(block_id, total, target_block)
+            quotient._set_markovian_raw(block_id, rates)
 
-    quotient.set_initial(int(block_arr[model.initial]))
+    quotient.set_initial(block_list[model.initial])
     return quotient
 
 
@@ -2067,6 +2150,47 @@ def _build_weak_quotient_scalar(
     return quotient
 
 
+def _tau_free_quotient(
+    model: IOIMC, partition: Partition, name: str | None = None
+) -> IOIMC:
+    """Weak quotient of a model without internal transitions, built directly.
+
+    Every tau-closure is a singleton and every state is stable, so the
+    quotient needs no condensation: each block takes its smallest member's
+    transitions — the sorted distinct ``(action, block)`` pairs (input
+    self-block loops stay implicit) and the summed rates into every other
+    block.  Equal, pair for pair and rate for rate, to
+    :func:`_build_weak_quotient` on the same partition.
+    """
+    block_of = _block_map(partition)
+    input_ids = model.signature.input_ids
+    itrans = model._itrans
+    mtrans = model._mtrans
+    model_labels = model._labels
+    quotient = IOIMC(name if name is not None else model.name, model.signature)
+    reps = [min(block) for block in partition]
+    for block_id, rep in enumerate(reps):
+        quotient.add_state(labels=model_labels[rep], name=f"B{block_id}")
+    for block_id, rep in enumerate(reps):
+        pairs = sorted(
+            {
+                (aid, block_of[target])
+                for aid, target in itrans[rep]
+                if block_of[target] != block_id or aid not in input_ids
+            }
+        )
+        if pairs:
+            quotient._add_interactive_bulk(block_id, pairs)
+        rates: Dict[int, float] = {}
+        for target, rate in mtrans[rep].items():
+            target_block = block_of[target]
+            if target_block != block_id:
+                rates[target_block] = rates.get(target_block, 0.0) + rate
+        quotient._set_markovian_raw(block_id, rates)
+    quotient.set_initial(block_of[model.initial])
+    return quotient
+
+
 def quotient_weak(model: IOIMC, partition: Partition, name: str | None = None) -> IOIMC:
     """Quotient of ``model`` under a weak bisimulation partition.
 
@@ -2114,7 +2238,7 @@ def _weak_quotient_unrestricted(
         return quotient_weak(model, partition)
     if _has_no_internal_transitions(model):
         partition = _strong_partition_splitter(model, respect_labels, rate_digits)
-        return _build_weak_quotient(model, TauCondensation(model), partition)
+        return _tau_free_quotient(model, partition)
     engine = _weak_engine(model, respect_labels, rate_digits, algorithm)
     return engine.quotient()
 
@@ -2141,7 +2265,7 @@ def minimize_strong(
     partition = strong_bisimulation_partition(
         model, respect_labels=respect_labels, algorithm=algorithm, rate_digits=rate_digits
     )
-    return quotient_strong(model, partition).restrict_to_reachable(model.name)
+    return quotient_strong(model, partition).restrict_to_reachable()
 
 
 def minimize_weak(
@@ -2180,7 +2304,7 @@ def minimize_weak(
         if reduced is not None:
             return reduced
     quotient = _weak_quotient_unrestricted(model, respect_labels, algorithm, rate_digits)
-    return quotient.restrict_to_reachable(model.name)
+    return quotient.restrict_to_reachable()
 
 
 # ---------------------------------------------------------------------------
@@ -2318,4 +2442,4 @@ def _minimize_components_parallel(
         merged = _weak_quotient_unrestricted(union, respect_labels, algorithm, rate_digits)
     else:
         merged = _strong_quotient_unrestricted(union, respect_labels, algorithm, rate_digits)
-    return merged.restrict_to_reachable(model.name)
+    return merged.restrict_to_reachable()

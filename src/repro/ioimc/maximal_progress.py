@@ -18,7 +18,11 @@ from .model import IOIMC
 def apply_maximal_progress(
     model: IOIMC, urgent_outputs: bool = True, name: Optional[str] = None
 ) -> IOIMC:
-    """Return a copy of ``model`` without Markovian transitions in urgent states.
+    """``model`` without Markovian transitions in urgent states.
+
+    Returns ``model`` itself when no urgent state has a Markovian transition
+    (and ``name`` is absent or already the model's name), otherwise a new
+    model; the input is never modified.
 
     Parameters
     ----------
@@ -27,12 +31,20 @@ def apply_maximal_progress(
         are urgent as well; if ``False`` only internal actions make a state
         urgent (the classical open-IMC rule).
     """
-    pruned = model._skeleton(name)
-    for state in model.states():
-        pruned._set_interactive_raw(state, list(model.interactive_pairs(state)))
-        urgent = model.is_urgent(state) if urgent_outputs else not model.is_stable(state)
-        if not urgent:
-            pruned._set_markovian_raw(state, dict(model.markovian_dict(state)))
+    signature = model.signature
+    urgent_mask = signature.urgent_mask if urgent_outputs else signature.internal_mask
+    mtrans = model._mtrans
+    enabled_mask = model.enabled_mask
+    urgent = [
+        state
+        for state in model.states()
+        if mtrans[state] and enabled_mask(state) & urgent_mask
+    ]
+    if not urgent and (name is None or name == model.name):
+        return model
+    pruned = model.copy(name)
+    for state in urgent:
+        pruned._set_markovian_raw(state, {})
     return pruned
 
 

@@ -505,9 +505,16 @@ class IOIMC:
         return frozenset(seen)
 
     def restrict_to_reachable(self, name: Optional[str] = None) -> "IOIMC":
-        """Return a copy containing only states reachable from the initial state."""
+        """The model restricted to the states reachable from the initial state.
+
+        When every state is reachable (and ``name`` is absent or already the
+        model's name) there is nothing to remove and the model itself is
+        returned, not a copy; otherwise the result is a new model.
+        """
         reachable = sorted(self.reachable_states())
         if len(reachable) == self.num_states:
+            if name is None or name == self.name:
+                return self
             return self.copy(name)
         remap = {old: new for new, old in enumerate(reachable)}
         restricted = IOIMC(name if name is not None else self.name, self.signature)
@@ -584,7 +591,7 @@ class IOIMC:
         self._emask_cache[state] = -1
 
     def _check_state(self, state: int) -> None:
-        if not 0 <= state < self.num_states:
+        if not 0 <= state < len(self._itrans):
             raise ModelError(
                 f"state {state} does not exist in {self.name!r} "
                 f"(has {self.num_states} states)"

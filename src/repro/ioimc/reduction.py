@@ -20,7 +20,7 @@ the pipeline records before/after statistics so benchmarks can report the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..errors import ModelError
 from .bisimulation import ALGORITHMS, minimize_strong, minimize_weak
@@ -109,20 +109,28 @@ def remove_internal_self_loops(model: IOIMC) -> IOIMC:
 
     Weak bisimulation (and every measure we compute) is insensitive to internal
     self-loops; removing them keeps later reductions simple and avoids
-    spurious "unstable" states.
+    spurious "unstable" states.  Returns ``model`` itself when it has no
+    internal self-loop, otherwise a new model.
     """
     internal = model.signature.internal_ids
-    cleaned = model._skeleton()
-    for state in model.states():
+    itrans = model._itrans
+    looping = [
+        state
+        for state in model.states()
+        if any(target == state and aid in internal for aid, target in itrans[state])
+    ]
+    if not looping:
+        return model
+    cleaned = model.copy()
+    for state in looping:
         cleaned._set_interactive_raw(
             state,
             [
                 (aid, target)
-                for aid, target in model.interactive_pairs(state)
+                for aid, target in itrans[state]
                 if target != state or aid not in internal
             ],
         )
-        cleaned._set_markovian_raw(state, dict(model.markovian_dict(state)))
     return cleaned
 
 
@@ -134,46 +142,54 @@ def compress_deterministic_tau(model: IOIMC) -> IOIMC:
     bisimulation preserving.  Chains of such states collapse in one pass.
     """
     internal = model.signature.internal_ids
+    mtrans = model._mtrans
     forward: Dict[int, int] = {}
-    for state in model.states():
-        pairs = model.interactive_pairs(state)
+    for state, pairs in enumerate(model._itrans):
         if len(pairs) != 1:
             continue
         aid, target = pairs[0]
-        if aid not in internal:
-            continue
-        if target == state:
-            continue
-        if model.markovian_dict(state):
-            continue
-        forward[state] = target
+        if aid in internal and target != state and not mtrans[state]:
+            forward[state] = target
 
     if not forward:
         return model
 
     # A cycle of deterministic internal transitions (a divergence) cannot be
-    # compressed away entirely: keep one representative per cycle so that every
-    # forwarding chain terminates in a kept state.
+    # compressed away entirely: keep one representative per cycle (its
+    # smallest member) so that every forwarding chain terminates in a kept
+    # state.  ``forward`` is a functional graph, so each walk stops at a kept
+    # state, at a state an earlier walk finished (no new cycle) or at a state
+    # of its own path (a new cycle); every state is walked once.
+    finished: Set[int] = set()
     for start in list(forward):
-        if start not in forward:
+        if start in finished:
             continue
-        path = []
-        on_path = {}
+        path: List[int] = []
+        on_path: Set[int] = set()
         state = start
-        while state in forward and state not in on_path:
-            on_path[state] = len(path)
+        while state in forward and state not in finished and state not in on_path:
+            on_path.add(state)
             path.append(state)
             state = forward[state]
-        if state in on_path:  # found a cycle: keep its smallest member
-            representative = min(path[on_path[state]:])
-            del forward[representative]
+        if state in on_path:
+            del forward[min(path[path.index(state):])]
+        finished.update(path)
 
-    def resolve(state: int) -> int:
-        while state in forward:
+    # Resolve every state to the kept state its chain ends in, memoising the
+    # whole walked path so no chain is walked twice.
+    resolved = list(model.states())
+    for start in forward:
+        if resolved[start] != start:
+            continue  # already resolved as part of an earlier walk
+        path = []
+        state = start
+        while state in forward and resolved[state] == state:
+            path.append(state)
             state = forward[state]
-        return state
+        end = resolved[state]
+        for member in path:
+            resolved[member] = end
 
-    resolved = {state: resolve(state) for state in model.states()}
     keep = sorted(state for state in model.states() if state not in forward)
     remap = {old: new for new, old in enumerate(keep)}
 
@@ -226,12 +242,18 @@ def aggregate(
         # on those partitions.  Do not skip the confirming minimisation on
         # the assumption that a quotient is already minimal; the test-suite
         # pins that the loop's result *is* a fixpoint of one more round.
+        #
+        # ``reduced`` is restricted to its reachable states at the top of every
+        # round, and each pass returns its input object when it has nothing
+        # to remove, so a restriction is only re-run after a pass that
+        # actually changed the model.
         for _round in range(10):
             size_before = (reduced.num_states, reduced.num_transitions)
-            reduced = apply_maximal_progress(reduced, urgent_outputs=options.urgent_outputs)
-            reduced = remove_internal_self_loops(reduced)
-            reduced = compress_deterministic_tau(reduced)
-            reduced = reduced.restrict_to_reachable()
+            passed = apply_maximal_progress(reduced, urgent_outputs=options.urgent_outputs)
+            passed = remove_internal_self_loops(passed)
+            passed = compress_deterministic_tau(passed)
+            if passed is not reduced:
+                reduced = passed.restrict_to_reachable()
             if options.method == "weak":
                 reduced = minimize_weak(
                     reduced,
@@ -249,8 +271,9 @@ def aggregate(
                     processes=options.minimisation_processes,
                 )
             # re-run maximal progress: quotienting may have exposed new urgency
-            reduced = apply_maximal_progress(reduced, urgent_outputs=options.urgent_outputs)
-            reduced = reduced.restrict_to_reachable()
+            passed = apply_maximal_progress(reduced, urgent_outputs=options.urgent_outputs)
+            if passed is not reduced:
+                reduced = passed.restrict_to_reachable()
             if (reduced.num_states, reduced.num_transitions) == size_before:
                 break
 
